@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: check build vet test race faults telemetry churn-soak mube-vet vet-json bench bench-delta bench-churn bench-partition bench-smoke trace-smoke trace-golden benchall fmt
+.PHONY: check build vet test race faults telemetry churn-soak fuzz mube-vet vet-json bench bench-delta bench-churn bench-partition bench-smoke trace-smoke trace-golden benchall fmt
 
-check: build mube-vet vet race faults telemetry churn-soak
+check: build mube-vet vet race faults telemetry churn-soak fuzz
 
 build:
 	$(GO) build ./...
@@ -48,6 +48,14 @@ telemetry:
 # `-short` shrinks the soak to 8 epochs for constrained CI runners.
 churn-soak:
 	$(GO) test -race -count=1 -short ./internal/watch/
+
+# fuzz runs the name store's gram-scoring fuzz target for a short, fixed
+# time on every `make check`: the store's Jaccard/Dice entries must equal
+# strutil's reference measures bit for bit, and Normalize must be idempotent.
+# The committed seed corpus (internal/match/testdata/fuzz) also runs as plain
+# tests inside `race`.
+fuzz:
+	$(GO) test -run='^$$' -fuzz=FuzzGramSim -fuzztime=10s ./internal/match/
 
 mube-vet:
 	$(GO) run ./cmd/mube-vet ./...

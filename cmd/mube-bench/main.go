@@ -288,16 +288,19 @@ func main() {
 			os.Exit(1)
 		}
 		// Archivable metrics line: per-preset solve wall-clock plus the
-		// candidate-index economics of the largest rung, so
+		// similarity-work and candidate-index economics of the largest rung,
+		// so
 		// `mube-bench -universe ... | mube-benchjson -merge` tracks them
 		// across commits.
-		metrics := make(map[string]float64, len(rows)+3)
+		metrics := make(map[string]float64, len(rows)+5)
 		for _, r := range rows {
 			metrics["solve_ms_"+r.Preset] = r.SolveMS
 		}
 		last := rows[len(rows)-1]
 		metrics["pair_candidates"] = float64(last.PairCandidates)
 		metrics["pair_candidates_frac"] = last.PairFrac()
+		metrics["sim_calls"] = float64(last.SimCalls)
+		metrics["sim_calls_frac"] = last.SimFrac()
 		metrics["shard_build_ns"] = last.ShardMS * 1e6
 		fmt.Println(telemetry.MetricsLine(metrics))
 		return

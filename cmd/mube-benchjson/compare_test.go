@@ -103,6 +103,19 @@ func TestComparePartitionMetrics(t *testing.T) {
 	}
 }
 
+func TestCompareSimCallMetrics(t *testing.T) {
+	// The universe ladder archives how many name-pair similarities the
+	// matcher build scored; more is worse in both the count and the share.
+	prev := rep(map[string]float64{"sim_calls": 300_000, "sim_calls_frac": 0.14})
+	next := rep(map[string]float64{"sim_calls": 2_100_000, "sim_calls_frac": 1})
+	if _, regressions := compareReports(prev, next); regressions != 2 {
+		t.Errorf("regressions = %d, want 2", regressions)
+	}
+	if _, regressions := compareReports(next, prev); regressions != 0 {
+		t.Errorf("improvements flagged: %d", regressions)
+	}
+}
+
 func TestCompareZeroBaseline(t *testing.T) {
 	prev := rep(map[string]float64{"merge_ops_per_eval": 0})
 	next := rep(map[string]float64{"merge_ops_per_eval": 0.5})

@@ -42,6 +42,8 @@ var Default = Directions{
 		"self_ns":                  true,
 		"pair_candidates":          true,
 		"pair_candidates_frac":     true,
+		"sim_calls":                true,
+		"sim_calls_frac":           true,
 		"shard_build_ns":           true,
 		"solve_ms_1m":              true,
 	},

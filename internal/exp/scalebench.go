@@ -157,6 +157,9 @@ type ScaleBenchRow struct {
 	// tested against θ; PairsTotal is the flat n(n−1)/2 it replaces.
 	PairCandidates uint64
 	PairsTotal     uint64
+	// SimCalls is how many name-pair similarities the matcher build scored;
+	// PairFrac's PairsTotal is the dense table it replaces.
+	SimCalls uint64
 	// GroupWorkers is the partitioned solver's group pool size used for the
 	// run (0 = GOMAXPROCS).
 	GroupWorkers int
@@ -195,10 +198,12 @@ func ScaleBench(p ScalePreset, parallel int, rec *telemetry.Recorder) (*ScaleBen
 	}
 	genMS := float64(time.Since(genStart).Microseconds()) / 1000
 
+	simBefore := match.SimCalls()
 	matcher, err := match.New(u, match.Config{Theta: match.DefaultTheta})
 	if err != nil {
 		return nil, err
 	}
+	simCalls := match.SimCalls() - simBefore
 
 	// Build the shard index (candidate generation + blocked scoring +
 	// component labeling) up front and time it; the solve below reuses the
@@ -254,6 +259,7 @@ func ScaleBench(p ScalePreset, parallel int, rec *telemetry.Recorder) (*ScaleBen
 		SolveMS:        solveSec * 1000,
 		PairCandidates: candTested,
 		PairsTotal:     nSim * (nSim - 1) / 2,
+		SimCalls:       simCalls,
 		GroupWorkers:   p.GroupWorkers,
 		Evals:          sol.Evals,
 		SolveMallocs:   after.Mallocs - before.Mallocs,
@@ -271,11 +277,11 @@ func ScaleBench(p ScalePreset, parallel int, rec *telemetry.Recorder) (*ScaleBen
 // RenderScaleBench prints the scale ladder.
 func RenderScaleBench(w io.Writer, rows []*ScaleBenchRow) error {
 	tw := newTab(w)
-	fmt.Fprintln(tw, "preset\tsources\tgroups\tsolver\tgen_ms\tshard_ms\tpair_cands\tpair_frac\tsolve_ms\tevals\tevals_per_sec\tallocs\talloc_mb\tsig_mb\tquality\tstatus")
+	fmt.Fprintln(tw, "preset\tsources\tgroups\tsolver\tgen_ms\tshard_ms\tsim_calls\tsim_frac\tpair_cands\tpair_frac\tsolve_ms\tevals\tevals_per_sec\tallocs\talloc_mb\tsig_mb\tquality\tstatus")
 	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%s\t%.0f\t%.1f\t%d\t%.4f\t%.0f\t%d\t%.0f\t%d\t%.1f\t%.1f\t%.4f\t%s\n",
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%s\t%.0f\t%.1f\t%d\t%.4f\t%d\t%.4f\t%.0f\t%d\t%.0f\t%d\t%.1f\t%.1f\t%.4f\t%s\n",
 			r.Preset, r.Sources, r.Groups, r.Solver, r.GenMS, r.ShardMS,
-			r.PairCandidates, r.PairFrac(), r.SolveMS,
+			r.SimCalls, r.SimFrac(), r.PairCandidates, r.PairFrac(), r.SolveMS,
 			r.Evals, r.EvalsPerSec, r.SolveMallocs, r.SolveAllocMB, r.SigMB,
 			r.Quality, r.Status)
 	}
@@ -289,4 +295,13 @@ func (r *ScaleBenchRow) PairFrac() float64 {
 		return 1
 	}
 	return float64(r.PairCandidates) / float64(r.PairsTotal)
+}
+
+// SimFrac is SimCalls over the dense table's pair total (1 when the total is
+// degenerate): the share of name pairs whose similarity was computed at all.
+func (r *ScaleBenchRow) SimFrac() float64 {
+	if r.PairsTotal == 0 {
+		return 1
+	}
+	return float64(r.SimCalls) / float64(r.PairsTotal)
 }

@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"mube/internal/strutil"
 )
 
 // Inverted-index candidate generation for the shard-index build.
@@ -37,18 +35,6 @@ import (
 // have no such zero-certificate, so buildShardIndex falls back to the flat
 // loop for them.
 
-// gramSize returns the n-gram size when the similarity measure is gram-set
-// based — the envelope in which the inverted index is provably sound.
-func gramSize(s strutil.Similarity) (int, bool) {
-	switch m := s.(type) {
-	case strutil.NGramJaccard:
-		return m.N, m.N > 0
-	case strutil.NGramDice:
-		return m.N, m.N > 0
-	}
-	return 0, false
-}
-
 // bandKey mixes a (slot, min) pair into one map key. Collisions between
 // different bands only add false candidates; the θ test filters them.
 func bandKey(slot int, min uint64) uint64 {
@@ -60,8 +46,8 @@ func bandKey(slot int, min uint64) uint64 {
 // untouched — when the similarity measure is outside the index's soundness
 // envelope and the caller must use the flat loop.
 func (m *Matcher) collectEdgesIndexed(parent []int32) bool {
-	gramN, ok := gramSize(m.cfg.Similarity)
-	if !ok {
+	st := m.store
+	if st.gramN == 0 {
 		return false
 	}
 	n := m.n
@@ -69,33 +55,18 @@ func (m *Matcher) collectEdgesIndexed(parent []int32) bool {
 		return true
 	}
 
-	// Posting lists. Ids are appended in ascending order (the outer loops run
-	// over ids ascending), so every list is sorted and the per-id candidate
-	// scan below can stop at the first j ≥ i.
-	grams := make(map[string][]int32)
-	if m.cfg.DataWeight == 0 {
-		// Name mode: similarity ids are interned distinct names.
-		for i, name := range m.names {
-			for g := range strutil.NGrams(name, gramN) {
-				grams[g] = append(grams[g], int32(i))
-			}
-		}
-	} else {
-		// Hybrid mode: one id per attribute; names repeat across attributes,
-		// so gram sets per distinct name are computed once and fanned out.
-		nameGrams := make(map[string][]string, len(m.names))
+	// Posting lists, each ascending by id so the per-id candidate scan below
+	// can stop at the first j ≥ i. Name mode: similarity ids are the store's
+	// name ids, so its gram postings serve as they are.
+	grams := st.post
+	if m.cfg.DataWeight > 0 {
+		// Hybrid mode: one id per attribute, posted under the store's gram
+		// set of the attribute's name. Ids are appended in ascending order.
+		grams = make([][]int32, len(st.post))
 		for si, s := range m.u.Sources() {
 			for ai := 0; ai < s.Schema.Len(); ai++ {
 				id := int32(m.simID[si][ai])
-				norm := strutil.Normalize(s.Schema.Name(ai))
-				gs, ok := nameGrams[norm]
-				if !ok {
-					for g := range strutil.NGrams(norm, gramN) {
-						gs = append(gs, g)
-					}
-					nameGrams[norm] = gs
-				}
-				for _, g := range gs {
+				for _, g := range st.sets[st.raw[s.Schema.Name(ai)]] {
 					grams[g] = append(grams[g], id)
 				}
 			}
@@ -173,7 +144,7 @@ func (m *Matcher) collectEdgesIndexed(parent []int32) bool {
 					seen[j] = int32(i)
 					count++
 					// Same comparison the linkage performs: widen to float64.
-					if float64(m.table[m.packed(int(j), i)]) >= theta {
+					if float64(m.table[tri(int(j), i)]) >= theta {
 						out = append(out, j, int32(i))
 					}
 				}

@@ -541,8 +541,8 @@ func TestRebindMatchesFreshBuild(t *testing.T) {
 
 	// The original matcher must be untouched by the rebind: churn introduced
 	// new names, so the rebound interning is strictly larger.
-	if len(m.names) >= len(warm.names) || len(m.ids) >= len(warm.ids) {
-		t.Errorf("Rebind mutated receiver's interning: %d names before, %d after", len(m.names), len(warm.names))
+	if m.store.len() >= warm.store.len() || len(m.store.raw) >= len(warm.store.raw) {
+		t.Errorf("Rebind mutated receiver's interning: %d names before, %d after", m.store.len(), warm.store.len())
 	}
 
 	// A no-new-names rebind must share the table wholesale.

@@ -10,8 +10,11 @@
 //
 // Because attribute names in a universe repeat heavily (Internet-scale
 // universes contain many near-copies of domain schemas), the matcher interns
-// normalized names and precomputes one similarity table over *distinct*
-// names; per-pair lookups during clustering are O(1).
+// names into an append-only name store and precomputes one similarity table
+// over *distinct* names; per-pair lookups during clustering are O(1). For the
+// gram measures the store scores only the pairs of names sharing a gram —
+// every other pair is exactly 0 — and a churned universe is rebound by
+// scoring only the names it introduces (see nameStore).
 package match
 
 import (
@@ -115,17 +118,16 @@ type Matcher struct {
 	// interned-name id in the default (name-only) mode, or a global
 	// attribute index in hybrid (data-weighted) mode.
 	simID [][]int
-	// table is the packed upper-triangular similarity matrix over
-	// similarity ids (diagonal included).
+	// table is the packed triangular similarity matrix over similarity ids
+	// (diagonal included, see tri). In name mode it is store.table.
 	table []float32
 	// n is the number of similarity ids.
 	n int
-	// ids/names retain the name interning from construction so Rebind can
-	// extend the table incrementally when the universe churns instead of
-	// recomputing O(d²) similarities from scratch. Read-only after New;
-	// Rebind clones before extending.
-	ids   map[string]int
-	names []string
+	// store holds the name interning and the distinct-name similarity table
+	// (the name component in hybrid mode), so Rebind can extend it
+	// incrementally when the universe churns. Read-only; Rebind extends a
+	// clone.
+	store *nameStore
 
 	// pool recycles clustering scratch (cluster slabs, ref/name arenas, the
 	// pair heap) across Match/Score calls; shared by WithParams clones since
@@ -138,8 +140,7 @@ type Matcher struct {
 	shardc *shardCache
 }
 
-// New builds a matcher for u, precomputing the distinct-name similarity
-// table.
+// New builds a matcher for u, scoring its distinct-name similarity table.
 func New(u *source.Universe, cfg Config) (*Matcher, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -148,47 +149,12 @@ func New(u *source.Universe, cfg Config) (*Matcher, error) {
 	m := &Matcher{u: u, cfg: cfg}
 	m.pool = &sync.Pool{New: func() any { return newMatchScratch() }}
 	m.shardc = &shardCache{}
-	// Intern normalized names and compute the distinct-name similarity
-	// table — the name component in both modes.
-	ids := make(map[string]int)
-	var names []string
-	nameID := make([][]int, u.Len())
-	for si, s := range u.Sources() {
-		row := make([]int, s.Schema.Len())
-		for ai := 0; ai < s.Schema.Len(); ai++ {
-			norm := strutil.Normalize(s.Schema.Name(ai))
-			id, ok := ids[norm]
-			if !ok {
-				id = len(names)
-				ids[norm] = id
-				names = append(names, norm)
-			}
-			row[ai] = id
-		}
-		nameID[si] = row
-	}
-	m.ids = ids
-	m.names = names
-	d := len(names)
-	namePacked := func(i, j int) int { return i*d - i*(i-1)/2 + (j - i) }
-	nameTable := make([]float32, d*(d+1)/2)
-	for i := 0; i < d; i++ {
-		nameTable[namePacked(i, i)] = 1
-		for j := i + 1; j < d; j++ {
-			nameTable[namePacked(i, j)] = float32(cfg.Similarity.Sim(names[i], names[j]))
-		}
-	}
-	nameSim := func(a, b int) float32 {
-		if a > b {
-			a, b = b, a
-		}
-		return nameTable[namePacked(a, b)]
-	}
-
+	// Intern the names and score the distinct-name similarity table — the
+	// name component in both modes.
+	store, nameID := newNameStore(cfg.Similarity).bind(u)
+	m.store = store
 	if cfg.DataWeight == 0 {
-		m.simID = nameID
-		m.n = d
-		m.table = nameTable
+		m.simID, m.table, m.n = nameID, store.table, store.len()
 		return m, nil
 	}
 
@@ -206,23 +172,24 @@ func New(u *source.Universe, cfg Config) (*Matcher, error) {
 		m.simID[si] = row
 	}
 	m.n = len(attrs)
-	m.table = make([]float32, m.n*(m.n+1)/2)
+	m.table = make([]float32, tri(0, m.n))
 	w := float32(cfg.DataWeight)
-	for i := 0; i < m.n; i++ {
-		m.table[m.packed(i, i)] = 1
-		ra := attrs[i]
-		sigA := u.Source(ra.Source).AttrSignature(ra.Attr)
-		for j := i + 1; j < m.n; j++ {
-			rb := attrs[j]
-			sim := (1 - w) * nameSim(nameID[ra.Source][ra.Attr], nameID[rb.Source][rb.Attr])
-			if sigA != nil {
-				if sigB := u.Source(rb.Source).AttrSignature(rb.Attr); sigB != nil {
+	for j := 0; j < m.n; j++ {
+		m.table[tri(j, j)] = 1
+		rb := attrs[j]
+		sigB := u.Source(rb.Source).AttrSignature(rb.Attr)
+		for i := 0; i < j; i++ {
+			ra := attrs[i]
+			a, b := nameID[ra.Source][ra.Attr], nameID[rb.Source][rb.Attr]
+			sim := (1 - w) * store.table[tri(min(a, b), max(a, b))]
+			if sigB != nil {
+				if sigA := u.Source(ra.Source).AttrSignature(ra.Attr); sigA != nil {
 					if jac, err := sigA.Jaccard(sigB); err == nil {
 						sim += w * float32(jac)
 					}
 				}
 			}
-			m.table[m.packed(i, j)] = sim
+			m.table[tri(i, j)] = sim
 		}
 	}
 	return m, nil
@@ -237,17 +204,12 @@ func MustNew(u *source.Universe, cfg Config) *Matcher {
 	return m
 }
 
-// packed returns the index of (i,j), i ≤ j, in the triangular table.
-func (m *Matcher) packed(i, j int) int {
-	return i*m.n - i*(i-1)/2 + (j - i)
-}
-
 // simByID returns the similarity of two similarity ids.
 func (m *Matcher) simByID(a, b int) float64 {
 	if a > b {
 		a, b = b, a
 	}
-	return float64(m.table[m.packed(a, b)])
+	return float64(m.table[tri(a, b)])
 }
 
 // PairSim returns the similarity of two attributes.
@@ -273,22 +235,28 @@ func (m *Matcher) WithParams(theta float64, beta int, linkage Linkage) (*Matcher
 	}
 	clone := *m
 	clone.cfg = cfg
-	// The shard index is a function of θ; give the clone its own cache. The
-	// scratch pool carries no parameters and stays shared.
-	clone.shardc = &shardCache{}
+	// The shard index is a function of θ and the universe alone: a clone at
+	// the same θ shares the (lazily built) cache, any other θ gets its own.
+	// The scratch pool carries no parameters and stays shared.
+	//mube:vet-ignore floatcmp — the cache is valid only for the identical θ
+	if cfg.Theta != m.cfg.Theta {
+		clone.shardc = &shardCache{}
+	}
 	return &clone, nil
 }
 
 // Rebind returns a matcher over nu — typically this matcher's universe after
 // a churn tick added, dropped, or drifted sources — that reuses every
-// similarity already in the table and computes only the pairs involving
-// genuinely new attribute names. With churn touching a few percent of
-// sources per epoch the distinct-name set barely moves, so a rebind is
-// usually a re-interning pass plus zero or a handful of Sim calls, against
-// O(d²) for a cold New. Similarities of pairs present in both tables are
-// copied bit-for-bit, so clustering over the rebound matcher scores
-// identically to a from-scratch build. Hybrid (data-weighted) tables are
-// keyed per attribute, not per distinct name, so they fall back to New.
+// similarity already in the table and scores only the names nu introduces.
+// Under churn every epoch's arrivals and drifted schemas bring new
+// spellings, so the distinct-name set grows tick by tick; a rebind costs one
+// lookup per attribute, a copy of the old table, and — for the gram
+// measures — one score per pair of a new name and a name sharing one of its
+// grams (every new pair under other measures), against O(d²) for a cold New.
+// Similarities of pairs present in both tables are copied bit-for-bit, so
+// clustering over the rebound matcher scores identically to a from-scratch
+// build, and the receiver is left untouched. Hybrid (data-weighted) tables
+// are keyed per attribute, not per distinct name, so they fall back to New.
 func (m *Matcher) Rebind(nu *source.Universe) (*Matcher, error) {
 	if m.cfg.DataWeight != 0 {
 		return New(nu, m.cfg)
@@ -298,53 +266,8 @@ func (m *Matcher) Rebind(nu *source.Universe) (*Matcher, error) {
 	// The shard index is a function of the universe; give the clone its own
 	// cache. The scratch pool carries no universe state and stays shared.
 	clone.shardc = &shardCache{}
-	ids := make(map[string]int, len(m.ids))
-	for k, v := range m.ids {
-		ids[k] = v
-	}
-	names := append([]string(nil), m.names...)
-	oldD := len(names)
-	nameID := make([][]int, nu.Len())
-	for si, s := range nu.Sources() {
-		row := make([]int, s.Schema.Len())
-		for ai := 0; ai < s.Schema.Len(); ai++ {
-			norm := strutil.Normalize(s.Schema.Name(ai))
-			id, ok := ids[norm]
-			if !ok {
-				id = len(names)
-				ids[norm] = id
-				names = append(names, norm)
-			}
-			row[ai] = id
-		}
-		nameID[si] = row
-	}
-	clone.ids = ids
-	clone.names = names
-	clone.simID = nameID
-	d := len(names)
-	clone.n = d
-	if d == oldD {
-		// No new names: the distinct-name table is exactly the old one.
-		// (Names dropped with their sources stay interned — the table only
-		// grows — which keeps every surviving id, and so every copied
-		// similarity, stable.)
-		return &clone, nil
-	}
-	packed := func(i, j int) int { return i*d - i*(i-1)/2 + (j - i) }
-	oldPacked := func(i, j int) int { return i*oldD - i*(i-1)/2 + (j - i) }
-	table := make([]float32, d*(d+1)/2)
-	for i := 0; i < d; i++ {
-		table[packed(i, i)] = 1
-		for j := i + 1; j < d; j++ {
-			if j < oldD {
-				table[packed(i, j)] = m.table[oldPacked(i, j)]
-			} else {
-				table[packed(i, j)] = float32(m.cfg.Similarity.Sim(names[i], names[j]))
-			}
-		}
-	}
-	clone.table = table
+	clone.store, clone.simID = m.store.bind(nu)
+	clone.table, clone.n = clone.store.table, clone.store.len()
 	return &clone, nil
 }
 

@@ -35,11 +35,14 @@ import (
 // pairCandidates counts similarity pairs actually tested against θ during
 // shard-index builds; ≪ n(n−1)/2 demonstrates sub-quadratic candidate
 // generation (the flat fallback adds the full pair count, so the metric is
-// comparable either way).
+// comparable either way). simCalls counts the name-pair similarities the
+// name store actually scored while filling tables: the gram-sharing pairs
+// under the gram measures, every new pair otherwise.
 var (
 	shardScores    atomic.Uint64
 	shardRescans   atomic.Uint64
 	pairCandidates atomic.Uint64
+	simCalls       atomic.Uint64
 )
 
 // ShardScores returns the total number of sharded flip scorings performed by
@@ -54,8 +57,14 @@ func ShardRescans() uint64 { return shardRescans.Load() }
 // θ by shard-index builds in this process. Monotonic; not resettable.
 func PairCandidates() uint64 { return pairCandidates.Load() }
 
-// shardCache lazily holds a matcher's shard index. θ determines the graph,
-// so WithParams clones carry a fresh cache.
+// SimCalls returns the total number of name-pair similarities scored by
+// matcher table fills (New and Rebind) in this process. Monotonic; not
+// resettable.
+func SimCalls() uint64 { return simCalls.Load() }
+
+// shardCache lazily holds a matcher's shard index. θ and the universe
+// determine the graph, so WithParams clones share the cache at an unchanged θ
+// and carry a fresh one otherwise; Rebind clones always carry a fresh one.
 type shardCache struct {
 	once sync.Once
 	idx  shardIndex
@@ -122,10 +131,10 @@ func (m *Matcher) collectEdgesFlat(parent []int32) {
 	n := m.n
 	theta := m.cfg.Theta
 	pairCandidates.Add(uint64(n) * uint64(n-1) / 2)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
+	for j := 0; j < n; j++ {
+		for i := 0; i < j; i++ {
 			// Same comparison the linkage performs: widen to float64 first.
-			if float64(m.table[m.packed(i, j)]) >= theta {
+			if float64(m.table[tri(i, j)]) >= theta {
 				ri, rj := ufFind(parent, int32(i)), ufFind(parent, int32(j))
 				if ri != rj {
 					parent[rj] = ri

@@ -118,7 +118,7 @@ type Clock func() time.Time
 type Session struct {
 	u       *source.Universe
 	qefs    []qef.QEF
-	base    *match.Matcher // carries the similarity table; re-parameterized per iteration
+	base    *match.Matcher // the last materialized matcher: the similarity table and, at an unchanged θ, the shard index
 	spec    Spec
 	history []Iteration
 	clock   Clock
@@ -419,6 +419,9 @@ func (s *Session) Problem() (*opt.Problem, error) {
 		return nil, err
 	}
 	msp.End()
+	// Re-parameterize from this matcher next time, so iterations at one θ
+	// share one lazily built shard index.
+	s.base = matcher
 	quality, err := qef.NewQuality(s.qefs, s.spec.Weights)
 	if err != nil {
 		return nil, err

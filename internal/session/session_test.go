@@ -11,6 +11,7 @@ import (
 
 	"mube/internal/constraint"
 	"mube/internal/fault"
+	"mube/internal/match"
 	"mube/internal/opt"
 	"mube/internal/probe"
 	"mube/internal/qef"
@@ -630,5 +631,38 @@ func TestSpecRemapSources(t *testing.T) {
 	}
 	if _, err := spec2.RemapSources(kept2); !errors.Is(err, constraint.ErrConstraintDropped) {
 		t.Errorf("RemapSources with dropped constrained source = %v, want ErrConstraintDropped", err)
+	}
+}
+
+// TestProblemReusesShardIndex pins that iterations at one θ share one shard
+// index, also after θ moved off the session's initial value: materializing
+// the problem again and partitioning its matcher tests no new pairs.
+func TestProblemReusesShardIndex(t *testing.T) {
+	s := newSession(t)
+	if err := s.SetTheta(0.6); err != nil {
+		t.Fatal(err)
+	}
+	groups := func() int {
+		p, err := s.Problem()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(p.Matcher.NewSharded(constraint.Set{}).SourceGroups())
+	}
+	want := groups()
+	before := match.PairCandidates()
+	if got := groups(); got != want {
+		t.Fatalf("second problem has %d source groups, first %d", got, want)
+	}
+	if n := match.PairCandidates() - before; n != 0 {
+		t.Errorf("second problem at an unchanged θ rebuilt the shard index (%d pairs tested)", n)
+	}
+	if err := s.SetTheta(0.7); err != nil {
+		t.Fatal(err)
+	}
+	before = match.PairCandidates()
+	groups()
+	if match.PairCandidates() == before {
+		t.Error("a θ change reused the old shard index")
 	}
 }
